@@ -14,15 +14,14 @@
 //!    throughput scales with threads while fsyncs/txn falls well below 1
 //!    — co-committers share flushes.
 //! 2. **apply_many**: disguising a departing cohort (`Lobsters-GDPR`
-//!    over `WRITE_SCALING_USERS` users) sequentially vs. through the
-//!    owner-sharded `Disguiser::apply_many` pipeline, same latency knob.
+//!    over `WRITE_SCALING_USERS` users) with `Disguiser::apply_many`,
+//!    one transaction per user, same latency knob. Reported: users/s and
+//!    WAL fsyncs per user — the durable cost of one disguise.
 //!
 //! Results land in `BENCH_write_scaling.json` (override with
 //! `WRITE_SCALING_OUT`). Knobs: `WRITE_SCALING_THREADS` (default
 //! `1,2,4,8`), `WRITE_SCALING_TXNS` (per-thread transactions, default
 //! 200), `WRITE_SCALING_USERS` (cohort size, default 1000),
-//! `WRITE_SCALING_SHARDS` (default 16 — oversharding helps single-core
-//! hosts keep staging while a flush sleeps),
 //! `WRITE_SCALING_FSYNC_FLOOR_US` (default 1000, a conservative
 //! barrier-write SSD), and `WRITE_SCALING_GROUP_DELAY_US` (adaptive
 //! leader linger, default from `WalGroupConfig`).
@@ -33,7 +32,7 @@ use std::time::{Duration, Instant};
 
 use edna_apps::lobsters::{self, generate::LobstersConfig};
 use edna_bench::harness::percentile;
-use edna_core::{ApplyOptions, Disguiser};
+use edna_core::Disguiser;
 use edna_relational::wal::WalGroupConfig;
 use edna_relational::{Database, Value, Wal};
 
@@ -186,60 +185,29 @@ fn commit_sweep_point(threads: usize, txns_per_thread: usize, fsync_floor: Durat
     }
 }
 
-/// One measured variant of the cohort-disguise section.
+/// The measured cohort-disguise section.
 struct CohortRun {
     wall: Duration,
     fsyncs: u64,
     succeeded: usize,
 }
 
-/// Builds a WAL-attached Lobsters environment with `users` users. The
-/// WAL attaches *after* generation so population writes don't pay the
-/// fsync floor.
-fn cohort_env(users: usize, tag: &str, fsync_floor: Duration) -> (Database, Disguiser, Vec<i64>) {
+/// Disguises a `users`-strong Lobsters cohort with `apply_many`. The WAL
+/// attaches *after* generation so population writes don't pay the fsync
+/// floor.
+fn cohort_apply_many(users: usize, fsync_floor: Duration) -> CohortRun {
     let db = lobsters::create_db().expect("schema installs");
     let inst = lobsters::generate::generate(&db, &LobstersConfig::sized(users))
         .expect("generation succeeds");
-    attach_fresh_wal(&db, &wal_path(tag), fsync_floor);
+    let path = wal_path("cohort");
+    attach_fresh_wal(&db, &path, fsync_floor);
     let edna = Disguiser::new(db.clone());
     lobsters::register_disguises(&edna).expect("disguise validates");
-    (db, edna, inst.user_ids)
-}
-
-/// Disguises the whole cohort one user at a time (auto-commit statements,
-/// the same transaction mode `apply_many` shards use).
-fn cohort_sequential(users: usize, fsync_floor: Duration) -> CohortRun {
-    let (db, edna, ids) = cohort_env(users, "seq", fsync_floor);
-    let opts = ApplyOptions {
-        use_transaction: false,
-        ..ApplyOptions::default()
-    };
-    let fsyncs0 = counter(&db, "edna_wal_fsyncs_total");
-    let t0 = Instant::now();
-    let mut succeeded = 0;
-    for id in &ids {
-        edna.apply_with_options("Lobsters-GDPR", Some(&Value::Int(*id)), opts)
-            .expect("sequential apply");
-        succeeded += 1;
-    }
-    let wall = t0.elapsed();
-    let fsyncs = counter(&db, "edna_wal_fsyncs_total") - fsyncs0;
-    let _ = std::fs::remove_file(wal_path("seq"));
-    CohortRun {
-        wall,
-        fsyncs,
-        succeeded,
-    }
-}
-
-/// Disguises the whole cohort through the owner-sharded pipeline.
-fn cohort_sharded(users: usize, shards: usize, fsync_floor: Duration) -> CohortRun {
-    let (db, edna, ids) = cohort_env(users, "shard", fsync_floor);
-    let cohort: Vec<Value> = ids.iter().map(|id| Value::Int(*id)).collect();
+    let cohort: Vec<Value> = inst.user_ids.iter().map(|id| Value::Int(*id)).collect();
     let fsyncs0 = counter(&db, "edna_wal_fsyncs_total");
     let t0 = Instant::now();
     let report = edna
-        .apply_many("Lobsters-GDPR", &cohort, shards)
+        .apply_many("Lobsters-GDPR", &cohort)
         .expect("apply_many");
     let wall = t0.elapsed();
     assert!(
@@ -248,7 +216,7 @@ fn cohort_sharded(users: usize, shards: usize, fsync_floor: Duration) -> CohortR
         report.failures
     );
     let fsyncs = counter(&db, "edna_wal_fsyncs_total") - fsyncs0;
-    let _ = std::fs::remove_file(wal_path("shard"));
+    let _ = std::fs::remove_file(&path);
     CohortRun {
         wall,
         fsyncs,
@@ -280,14 +248,13 @@ fn main() {
     let threads = env_usize_list("WRITE_SCALING_THREADS", &[1, 2, 4, 8]);
     let txns_per_thread = env_usize("WRITE_SCALING_TXNS", 200);
     let cohort_users = env_usize("WRITE_SCALING_USERS", 1000);
-    let shards = env_usize("WRITE_SCALING_SHARDS", 16);
     let fsync_floor = Duration::from_micros(env_usize("WRITE_SCALING_FSYNC_FLOOR_US", 1000) as u64);
     let host_parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     println!("group write_scaling");
     println!(
         "  threads {threads:?}  txns/thread {txns_per_thread}  cohort {cohort_users}  \
-         shards {shards}  fsync_floor {}us  host_parallelism {host_parallelism}",
+         fsync_floor {}us  host_parallelism {host_parallelism}",
         fsync_floor.as_micros()
     );
 
@@ -316,19 +283,16 @@ fn main() {
         last.threads, first.threads, last.threads
     );
 
-    // Section 2: cohort disguising, sequential vs owner-sharded.
-    let seq = cohort_sequential(cohort_users, fsync_floor);
-    let sh = cohort_sharded(cohort_users, shards, fsync_floor);
-    assert_eq!(seq.succeeded, cohort_users);
-    assert_eq!(sh.succeeded, cohort_users);
-    let apply_speedup = seq.wall.as_secs_f64() / sh.wall.as_secs_f64().max(1e-9);
+    // Section 2: cohort disguising, one transaction per user.
+    let cohort = cohort_apply_many(cohort_users, fsync_floor);
+    assert_eq!(cohort.succeeded, cohort_users);
+    let users_per_s = cohort_users as f64 / cohort.wall.as_secs_f64().max(1e-9);
+    let fsyncs_per_user = cohort.fsyncs as f64 / cohort_users.max(1) as f64;
     println!(
-        "  apply_many/{cohort_users} users: sequential {:.2}s ({} fsyncs)  \
-         sharded({shards}) {:.2}s ({} fsyncs)  speedup {apply_speedup:.2}x",
-        seq.wall.as_secs_f64(),
-        seq.fsyncs,
-        sh.wall.as_secs_f64(),
-        sh.fsyncs,
+        "  apply_many/{cohort_users} users: {:.2}s ({users_per_s:.0} users/s)  \
+         WAL fsyncs {} ({fsyncs_per_user:.2}/user)",
+        cohort.wall.as_secs_f64(),
+        cohort.fsyncs,
     );
 
     let out_path = std::env::var("WRITE_SCALING_OUT").unwrap_or_else(|_| {
@@ -348,10 +312,9 @@ fn main() {
          \"meets_scaling_target\": {},\n  \
          \"fsyncs_per_txn_at_max_threads\": {fsyncs_per_txn_last:.4},\n  \
          \"meets_fsync_target\": {},\n  \
-         \"apply_many\": {{\"users\": {cohort_users}, \"shards\": {shards}, \
-         \"sequential_s\": {:.3}, \"sharded_s\": {:.3}, \"speedup\": {apply_speedup:.3}, \
-         \"sequential_fsyncs\": {}, \"sharded_fsyncs\": {}, \
-         \"meets_apply_target\": {}}}\n}}\n",
+         \"apply_many\": {{\"users\": {cohort_users}, \"wall_s\": {:.3}, \
+         \"users_per_s\": {users_per_s:.1}, \"wal_fsyncs\": {}, \
+         \"wal_fsyncs_per_user\": {fsyncs_per_user:.3}}}\n}}\n",
         first.txns,
         fsync_floor.as_micros(),
         points
@@ -361,11 +324,8 @@ fn main() {
             .join(",\n"),
         scaling >= 2.5,
         fsyncs_per_txn_last < 0.5,
-        seq.wall.as_secs_f64(),
-        sh.wall.as_secs_f64(),
-        seq.fsyncs,
-        sh.fsyncs,
-        apply_speedup >= 2.0,
+        cohort.wall.as_secs_f64(),
+        cohort.fsyncs,
     );
     std::fs::write(&out_path, json).expect("write BENCH_write_scaling.json");
     println!("  wrote {out_path}");

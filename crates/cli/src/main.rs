@@ -13,8 +13,7 @@
 //! edna specs <state>
 //! edna apply <state> <disguise> [--user <id>] [--no-compose] [--no-optimize]
 //!          [--trace-out <f.jsonl>]
-//! edna apply <state> <disguise> --users-file <ids.txt> [--shards <n>]
-//!          [--trace-out <f.jsonl>]
+//! edna apply <state> <disguise> --users-file <ids.txt> [--trace-out <f.jsonl>]
 //! edna reveal <state> (--id <n> | --latest <disguise> [--user <id>])
 //!          [--trace-out <f.jsonl>]
 //! edna history <state>
@@ -310,7 +309,7 @@ fn run(args: &[String]) -> CliResult<()> {
         "apply" => {
             let disguise = args.get(2).ok_or_else(usage)?;
             // Mass disguise: one user id per line (blank lines and `#`
-            // comments skipped), owner-hash-sharded across threads.
+            // comments skipped), one transactional apply per user.
             if let Some(path) = flag_value(args, "--users-file") {
                 let text = std::fs::read_to_string(path)
                     .map_err(|e| CliError::runtime(format!("cannot read {path}: {e}")))?;
@@ -323,32 +322,23 @@ fn run(args: &[String]) -> CliResult<()> {
                 if users.is_empty() {
                     return Err(CliError::usage(format!("{path} lists no users")));
                 }
-                let shards: usize = match flag_value(args, "--shards") {
-                    Some(s) => s
-                        .parse()
-                        .map_err(|_| CliError::usage(format!("bad shard count {s}")))?,
-                    None => 0, // 0 = one shard per available core
-                };
                 let ws = Workspace::open(&state, passphrase)?;
                 let sink = trace_sink(args);
                 if let Some((tracer, _)) = &sink {
                     ws.edna.set_tracer(Some(tracer.clone()));
                 }
-                let report = ws.edna.apply_many(disguise, &users, shards)?;
+                let report = ws.edna.apply_many(disguise, &users)?;
                 println!(
-                    "applied {} to {} user(s) in {} shard(s): {} succeeded, {} failed, \
-                     removed {}, decorrelated {}, modified {}, vault entries {}, \
-                     degraded {}, {:.1?}",
+                    "applied {} to {} user(s): {} succeeded, {} failed, \
+                     removed {}, decorrelated {}, modified {}, vault entries {}, {:.1?}",
                     report.name,
                     report.users,
-                    report.shards,
                     report.succeeded,
                     report.failures.len(),
                     report.rows_removed,
                     report.rows_decorrelated,
                     report.rows_modified,
                     report.vault_entries,
-                    report.degraded,
                     report.duration
                 );
                 for (user, reason) in &report.failures {
@@ -673,26 +663,28 @@ fn run(args: &[String]) -> CliResult<()> {
             // prints must not crash the drain, so write errors are
             // swallowed.
             use std::io::Write as _;
-            println!("listening on {}", handle.addr());
+            let mut out = std::io::stdout();
+            let _ = writeln!(out, "listening on {}", handle.addr());
             // The wire `shutdown` op must present this token; only the
             // operator reading this stdout (or the supervisor capturing
             // it) can drain the server remotely.
-            println!("shutdown token {}", handle.shutdown_token());
-            match &replica_shared {
-                Some(shared) => println!(
+            let _ = writeln!(out, "shutdown token {}", handle.shutdown_token());
+            let _ = match &replica_shared {
+                Some(shared) => writeln!(
+                    out,
                     "role: replica of {} (epoch {})",
                     shared.source,
                     shared.epoch()
                 ),
-                None => println!("role: primary (epoch {})", svc.workspace().epoch()),
-            }
+                None => writeln!(out, "role: primary (epoch {})", svc.workspace().epoch()),
+            };
             handle
                 .wait()
                 .map_err(|_| CliError::runtime("server thread panicked".to_string()))?;
             if let Some(t) = applier {
                 let _ = t.join();
             }
-            let _ = writeln!(std::io::stdout(), "drained and checkpointed");
+            let _ = writeln!(out, "drained and checkpointed");
         }
         "trace" => {
             // Here the positional argument is the JSONL file itself.

@@ -1,8 +1,8 @@
 //! Kill sweep over disguise application: crash at every WAL frame, in
 //! every crash style, and assert that `Workspace::open` recovers to a
 //! state where the database is structurally consistent and the history
-//! table, vault, and pending-write journal agree — the disguise either
-//! fully happened or fully didn't.
+//! table and vault agree — the disguise either fully happened or fully
+//! didn't.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -10,7 +10,7 @@ use std::sync::Arc;
 use edna_cli::Workspace;
 use edna_core::HISTORY_TABLE;
 use edna_relational::{Value, WalCrash};
-use edna_vault::{FileStore, Vault, VaultJournal};
+use edna_vault::{FileStore, Vault, VaultStore};
 
 struct TempDir(PathBuf);
 
@@ -156,11 +156,12 @@ fn make_cohort_baseline(state: &Path, n: usize) {
 
 #[test]
 fn sigkill_mid_apply_many_recovers_with_verify() {
-    // A real SIGKILL (not an injected hook) lands mid-flight in a sharded
+    // A real SIGKILL (not an injected hook) lands mid-flight in an
     // `edna apply --users-file` child process; `edna recover --verify`
     // must then report a consistent state, and every user must be either
-    // fully disguised (history row present, user row gone) or fully
-    // untouched — the WAL intent/commit protocol resolves the rest.
+    // fully disguised (history row, user row gone, vault entry present,
+    // revealable) or fully untouched — each user is one transaction and
+    // the WAL intent/commit protocol resolves the one in flight.
     use std::process::{Command, Stdio};
 
     const USERS: usize = 300;
@@ -171,7 +172,7 @@ fn sigkill_mid_apply_many_recovers_with_verify() {
     let ids: Vec<String> = (1..=USERS).map(|id| id.to_string()).collect();
     std::fs::write(&ids_file, ids.join("\n")).unwrap();
 
-    for (iteration, delay_ms) in [5u64, 25, 75].into_iter().enumerate() {
+    for (iteration, delay_ms) in [5u64, 25, 75, 120].into_iter().enumerate() {
         let state = dir.path(&format!("kill_{iteration}.edna"));
         copy_state(&baseline, &state);
 
@@ -182,8 +183,6 @@ fn sigkill_mid_apply_many_recovers_with_verify() {
                 "Gdpr",
                 "--users-file",
                 ids_file.to_str().unwrap(),
-                "--shards",
-                "4",
             ])
             .stdout(Stdio::null())
             .stderr(Stdio::null())
@@ -205,11 +204,7 @@ fn sigkill_mid_apply_many_recovers_with_verify() {
             String::from_utf8_lossy(&out.stderr),
         );
 
-        // Shard-bounded atomicity: each shard applies one user at a time
-        // as auto-commit statements (row transformations, then the
-        // history record), so a SIGKILL can catch at most one user per
-        // shard between its removal and its history row. Everyone else
-        // is fully disguised (history row, user gone) or fully untouched.
+        // Per-user atomicity: no user is half disguised.
         let ws = Workspace::open(&state, None).unwrap();
         assert_eq!(ws.db.verify_integrity(), Vec::<String>::new());
         let remaining = match ws
@@ -223,12 +218,44 @@ fn sigkill_mid_apply_many_recovers_with_verify() {
             other => panic!("count returned {other:?}"),
         };
         let applied = history_count(&ws);
-        let in_flight = USERS as i64 - (remaining + applied);
-        assert!(
-            (0..=4).contains(&in_flight),
-            "iteration {iteration}: at most one in-flight user per shard \
-             ({remaining} remaining, {applied} disguised, {in_flight} in flight)"
+        assert_eq!(
+            remaining + applied,
+            USERS as i64,
+            "iteration {iteration}: {remaining} remaining, {applied} disguised"
         );
+
+        // What a reveal needs: every live reversible history row has its
+        // vault entry, and no vault entry outlives its history row.
+        let events = ws.edna.history().events().unwrap();
+        let live: Vec<_> = events
+            .iter()
+            .filter(|e| e.reversible && !e.reverted)
+            .collect();
+        for e in &live {
+            assert_eq!(
+                vault_entry_count(&state, &e.user_id, e.id),
+                1,
+                "iteration {iteration}: disguise {} of user {:?} lost its vault entry",
+                e.id,
+                e.user_id
+            );
+        }
+        for tier in ["global", "user"] {
+            let store = FileStore::open(sidecar(&state, ".vault").join(tier)).unwrap();
+            for user in store.users().unwrap() {
+                for entry in store.list(&user).unwrap() {
+                    let id = entry.meta.disguise_id;
+                    assert!(
+                        events.iter().any(|e| e.id == id),
+                        "iteration {iteration}: orphaned {tier} vault entry for disguise {id}"
+                    );
+                }
+            }
+        }
+        if let Some(last) = live.last() {
+            ws.edna.reveal(last.id).unwrap();
+            assert_eq!(history_count(&ws), applied - 1);
+        }
     }
 }
 
@@ -285,7 +312,7 @@ fn disguise_application_survives_a_crash_at_every_wal_frame() {
             assert_eq!(ws.db.verify_integrity(), Vec::<String>::new(), "{ctx}");
 
             // Atomicity: the disguise fully happened or fully didn't,
-            // and history, vault, and journal all tell the same story.
+            // and history and vault tell the same story.
             let applied = history_count(&ws) == 1;
             let disguise_id = 1;
             if applied {
@@ -315,9 +342,6 @@ fn disguise_application_survives_a_crash_at_every_wal_frame() {
                     0,
                     "{ctx}: undone disguise must leave no orphan vault entry"
                 );
-                let journal =
-                    VaultJournal::open(sidecar(&state, ".vault").join("pending.journal")).unwrap();
-                assert!(journal.is_empty().unwrap(), "{ctx}: journal must be empty");
             }
         }
     }

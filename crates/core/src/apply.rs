@@ -26,7 +26,7 @@ use std::sync::{Mutex, RwLock};
 use edna_relational::{
     eval_predicate, Database, EvalContext, Expr, OpenIntent, StatsSnapshot, TableSchema, Value,
 };
-use edna_vault::{MemoryStore, RevealOp, TieredVault, Vault, VaultEntry, VaultJournal, VaultTier};
+use edna_vault::{MemoryStore, RevealOp, TieredVault, Vault, VaultEntry};
 
 use crate::analysis::{plan_composition, CompositionPlan};
 use crate::analyze::{self, Diagnostic};
@@ -38,29 +38,6 @@ use crate::spec::{validate_spec, DisguiseSpec, PredicatedTransform, Transformati
 /// One batch of pk-keyed updates, as `Database::update_rows_by_pk` takes
 /// them: `(pk, [(column index, new value)])` per row.
 type PkUpdates = Vec<(Value, Vec<(usize, Value)>)>;
-
-/// What to do when the vault write at the end of an application fails
-/// (after retries, if the backend has a [`edna_vault::RetryPolicy`]).
-///
-/// The disguise's physical changes and its history row are already staged
-/// in the transaction at that point; the policy decides whether losing the
-/// reveal functions aborts the disguise or degrades it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum VaultFailurePolicy {
-    /// Abort: roll the whole application back and surface the vault
-    /// error. Nothing is disguised, nothing is lost.
-    #[default]
-    Require,
-    /// Proceed irreversibly: commit the disguise, mark the history row
-    /// not reversible, and record the vault error as its note. Privacy
-    /// wins over reversibility.
-    Degrade,
-    /// Proceed reversibly: commit the disguise and spool the vault entry
-    /// to the configured [`VaultJournal`], to be pushed into the vault by
-    /// [`Disguiser::flush_pending_vault_writes`] once the backend is
-    /// healthy. Requires [`Disguiser::set_vault_journal`].
-    Buffer,
-}
 
 /// Knobs controlling disguise application.
 #[derive(Debug, Clone, Copy)]
@@ -75,8 +52,6 @@ pub struct ApplyOptions {
     /// Wrap the whole application in one transaction ("Edna currently
     /// applies these changes in one large SQL transaction", §6).
     pub use_transaction: bool,
-    /// What to do when the vault write fails after retries.
-    pub vault_failure_policy: VaultFailurePolicy,
     /// Upper bound on rows transformed by this application (`None` =
     /// unbounded). The decay daemon uses this to run incrementally: when
     /// the budget runs out mid-application the report comes back with
@@ -95,7 +70,6 @@ impl Default for ApplyOptions {
             compose: true,
             optimize: true,
             use_transaction: true,
-            vault_failure_policy: VaultFailurePolicy::Require,
             row_budget: None,
         }
     }
@@ -130,16 +104,9 @@ pub struct DisguiseReport {
     pub stats: StatsSnapshot,
     /// Vault-store retries absorbed during this application.
     pub vault_retries: u64,
-    /// Why this application degraded to irreversible
-    /// ([`VaultFailurePolicy::Degrade`]), if it did.
-    pub vault_degraded: Option<String>,
-    /// Whether the vault entry was spooled to the journal
-    /// ([`VaultFailurePolicy::Buffer`]) instead of reaching the vault.
-    pub vault_buffered: bool,
-    /// Whether a WAL intent marker brackets this application's vault-side
-    /// writes (set when the database has a WAL attached and the disguise
-    /// recorded reveal functions).
-    pub(crate) wal_intent: bool,
+    /// Whether this application stored reveal functions in a vault. With
+    /// a WAL attached, a WAL intent marker brackets that write.
+    pub(crate) vault_written: bool,
     /// Whether [`ApplyOptions::row_budget`] ran out before every matching
     /// row was transformed: the application is partial and should be
     /// re-run (the scheduler does so on its next tick).
@@ -165,25 +132,15 @@ impl Default for DisguiseReport {
             duration: Duration::ZERO,
             stats: StatsSnapshot::default(),
             vault_retries: 0,
-            vault_degraded: None,
-            vault_buffered: false,
-            wal_intent: false,
+            vault_written: false,
             budget_exhausted: false,
             remaining_budget: None,
         }
     }
 }
 
-/// A vault write deferred by `apply_many` so a shard can flush a whole
-/// chunk of users' entries in one batched backend round trip.
-pub(crate) struct PendingVaultPut {
-    pub(crate) tier: VaultTier,
-    pub(crate) entry: VaultEntry,
-    pub(crate) disguise_id: u64,
-}
-
 /// What one mass disguise application ([`Disguiser::apply_many`]) did.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ApplyManyReport {
     /// Disguise name.
     pub name: String,
@@ -191,13 +148,10 @@ pub struct ApplyManyReport {
     pub users: usize,
     /// Users disguised successfully.
     pub succeeded: usize,
-    /// Users whose application failed, with the error rendered. A failed
-    /// user may be partially disguised: `apply_many` runs without a
-    /// wrapping transaction (shards commit statement-by-statement through
-    /// the group-commit WAL), so there is nothing to roll back.
+    /// Users whose application failed, with the error rendered. Each
+    /// user's application is one transaction, so a failed user was rolled
+    /// back completely.
     pub failures: Vec<(Value, String)>,
-    /// Shards the users were hash-partitioned into.
-    pub shards: usize,
     /// Rows deleted across all users.
     pub rows_removed: usize,
     /// Rows decorrelated across all users.
@@ -206,26 +160,10 @@ pub struct ApplyManyReport {
     pub rows_modified: usize,
     /// Placeholder rows created across all users.
     pub placeholders_created: usize,
-    /// Reveal-function entries written to vaults (batched per chunk).
+    /// Reveal-function entries written to vaults.
     pub vault_entries: usize,
-    /// Users whose disguise degraded to irreversible because the vault
-    /// write failed after the database changes were already committed.
-    pub degraded: usize,
     /// Wall-clock duration of the whole mass application.
     pub duration: Duration,
-}
-
-/// What one shard worker accumulated; merged into [`ApplyManyReport`].
-#[derive(Default)]
-struct ShardOutcome {
-    succeeded: usize,
-    failures: Vec<(Value, String)>,
-    rows_removed: usize,
-    rows_decorrelated: usize,
-    rows_modified: usize,
-    placeholders_created: usize,
-    vault_entries: usize,
-    degraded: usize,
 }
 
 /// A row temporarily recorrelated from a vault during composition.
@@ -276,7 +214,6 @@ pub struct Disguiser {
     /// Warnings the static analyzer recorded when each spec registered.
     pub(crate) warnings: RwLock<HashMap<String, Vec<Diagnostic>>>,
     pub(crate) rng: Mutex<Prng>,
-    pub(crate) journal: Mutex<Option<VaultJournal>>,
     /// Options used by [`Disguiser::apply`].
     pub options: ApplyOptions,
 }
@@ -302,7 +239,6 @@ impl Disguiser {
             specs: RwLock::new(HashMap::new()),
             warnings: RwLock::new(HashMap::new()),
             rng: Mutex::new(Prng::seed_from_u64(0xED4A)),
-            journal: Mutex::new(None),
             options: ApplyOptions::default(),
         }
     }
@@ -314,17 +250,14 @@ impl Disguiser {
 
     /// Installs (or with `None` removes) a tracer across every layer this
     /// disguiser touches: the engine emits per-statement spans, the vaults
-    /// and journal emit storage spans, and the disguiser itself emits
+    /// emit storage spans, and the disguiser itself emits
     /// disguise-phase spans (`disguise_apply`, `recorrelate`, `transform`,
     /// `predicate_scan`, `placeholder_gen`, `transform_write`,
     /// `redo_pass`, `assertions`, `history_append`, `vault_write`,
     /// `reveal`, ...), all sharing one span buffer.
     pub fn set_tracer(&self, tracer: Option<Tracer>) {
         self.db.set_tracer(tracer.clone());
-        self.vaults.set_tracer(tracer.clone());
-        if let Some(j) = lock_unpoisoned(&self.journal).as_ref() {
-            j.set_tracer(tracer);
-        }
+        self.vaults.set_tracer(tracer);
     }
 
     /// Opens a disguise-phase span if a tracer is installed.
@@ -347,60 +280,6 @@ impl Disguiser {
         &self.history
     }
 
-    /// Configures the journal that [`VaultFailurePolicy::Buffer`] spools
-    /// vault writes to when the backend is down.
-    pub fn set_vault_journal(&self, journal: VaultJournal) {
-        // Inherit whatever tracer is currently installed.
-        journal.set_tracer(self.db.tracer());
-        *lock_unpoisoned(&self.journal) = Some(journal);
-    }
-
-    /// Vault entries spooled by [`VaultFailurePolicy::Buffer`] and not yet
-    /// flushed (0 if no journal is configured).
-    pub fn pending_vault_writes(&self) -> Result<usize> {
-        match lock_unpoisoned(&self.journal).as_ref() {
-            Some(j) => Ok(j.len()?),
-            None => Ok(0),
-        }
-    }
-
-    /// Pushes journalled vault entries into the vaults, oldest first;
-    /// returns how many were flushed. On a vault failure mid-flush the
-    /// unflushed suffix (including the entry that failed) stays in the
-    /// journal and the error surfaces — calling again once the backend
-    /// recovers resumes where it stopped.
-    pub fn flush_pending_vault_writes(&self) -> Result<usize> {
-        let _span = self.span("vault_flush");
-        let guard = lock_unpoisoned(&self.journal);
-        let Some(journal) = guard.as_ref() else {
-            return Ok(0);
-        };
-        let pending = journal.pending()?;
-        let mut flushed = 0;
-        for (i, (tier, entry)) in pending.iter().enumerate() {
-            // Idempotent flush: a crash after the put but before the
-            // journal compaction below leaves the entry both in the vault
-            // and in the journal; re-flushing must not store it twice
-            // (file-backed stores append blindly).
-            let already = self
-                .vaults
-                .entries_for_disguise(&entry.user_id, entry.disguise_id)?
-                .iter()
-                .any(|e| e == entry);
-            if already {
-                flushed += 1;
-                continue;
-            }
-            if let Err(e) = self.vaults.put(*tier, entry) {
-                journal.rewrite(&pending[i..])?;
-                return Err(Error::Vault(e));
-            }
-            flushed += 1;
-        }
-        journal.rewrite(&[])?;
-        Ok(flushed)
-    }
-
     /// Resolves disguise intents that recovery found open in the WAL
     /// (intent marker with no commit marker): for each one, the database's
     /// own history table is the commit arbiter.
@@ -409,9 +288,8 @@ impl Disguiser {
     ///   its vault writes are legitimate. The intent is closed with a
     ///   commit marker (the original one was lost to the crash).
     /// - History row **absent** — the transaction never committed; the
-    ///   vault entry (and any journal-spooled copy) is an orphan carrying
-    ///   reveal functions for a disguise that never happened. Both are
-    ///   removed, then the intent is closed.
+    ///   vault entry is an orphan carrying reveal functions for a disguise
+    ///   that never happened. It is removed, then the intent is closed.
     ///
     /// Idempotent: re-resolving an already-resolved intent removes nothing
     /// and re-stamps the marker. Called by `Workspace::open` after WAL
@@ -424,9 +302,6 @@ impl Disguiser {
                 resolution.completed.push(intent.disguise_id);
             } else {
                 self.vaults.remove(&intent.user, intent.disguise_id)?;
-                if let Some(j) = lock_unpoisoned(&self.journal).as_ref() {
-                    j.purge_disguise(intent.disguise_id)?;
-                }
                 resolution.undone.push(intent.disguise_id);
             }
             // Close the bracket either way so the next recovery does not
@@ -603,7 +478,7 @@ impl Disguiser {
         if opts.use_transaction {
             self.db.begin()?;
         }
-        let result = self.apply_inner(&spec, &user_value, &params, opts, None);
+        let result = self.apply_inner(&spec, &user_value, &params, opts);
         match result {
             Ok(mut report) => {
                 if opts.use_transaction {
@@ -624,7 +499,7 @@ impl Disguiser {
                 // The disguise is durable: close the intent bracket.
                 // Losing this marker is benign — recovery re-resolves the
                 // intent against the committed history row.
-                if report.wal_intent {
+                if report.vault_written {
                     let _ = self.db.wal_disguise_commit(report.disguise_id);
                 }
                 report.duration = started.elapsed();
@@ -652,237 +527,49 @@ impl Disguiser {
         }
     }
 
-    /// Applies a user-scoped disguise to many users at once, sharded by
-    /// owner hash across a scoped thread pool (ROADMAP: mass disguising —
-    /// "10k departing users in one request").
+    /// Applies a user-scoped disguise to many users at once (ROADMAP: mass
+    /// disguising — "10k departing users in one request").
     ///
-    /// Each shard owns a disjoint set of users (owner-column predicates
-    /// make their row sets disjoint too, which is what makes the shards
-    /// independent), applies the disguise per user *without* a wrapping
-    /// transaction — every statement commits through the engine, so
-    /// concurrent shards share fsyncs via the group-commit WAL — and
-    /// batches its vault puts and intent-close markers per chunk of
-    /// [`Disguiser::VAULT_PUT_BATCH`] users.
-    ///
-    /// Failure semantics: a user whose application errors is reported in
-    /// [`ApplyManyReport::failures`] and does not stop the rest. If a
-    /// batched vault put fails, the affected users' database changes are
-    /// already committed and cannot be rolled back; the failure policy
-    /// decides between marking them degraded (irreversible, the *require*
-    /// and *degrade* policies) or spooling to the journal (*buffer*).
-    /// Open WAL intents from a crash mid-`apply_many` are resolved by the
-    /// next recovery exactly as for single applications.
-    pub fn apply_many(
-        &self,
-        name: &str,
-        users: &[Value],
-        shards: usize,
-    ) -> Result<ApplyManyReport> {
-        let spec = self.spec(name)?;
-        if !spec.user_scoped {
+    /// Each user gets one [`Disguiser::apply`]: one transaction holding the
+    /// transforms, the history row and the vault write. A user whose
+    /// application fails is rolled back completely, reported in
+    /// [`ApplyManyReport::failures`], and does not stop the rest. A crash
+    /// mid-cohort leaves every user either fully disguised (and
+    /// revealable) or untouched; recovery resolves the one open WAL intent
+    /// exactly as for a single application.
+    pub fn apply_many(&self, name: &str, users: &[Value]) -> Result<ApplyManyReport> {
+        if !self.spec(name)?.user_scoped {
             return Err(Error::SpecInvalid {
                 disguise: name.to_string(),
                 message: "apply_many requires a user-scoped disguise".to_string(),
             });
         }
-        let hw = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let shard_count = if shards == 0 { hw } else { shards }
-            .min(users.len())
-            .max(1);
-
         let mut root = self.span("disguise_apply_many");
         if let Some(g) = root.as_mut() {
             g.attr("disguise", name);
             g.attr("users", users.len().to_string());
-            g.attr("shards", shard_count.to_string());
         }
         let started = Instant::now();
-
-        // Owner-hash partition: every occurrence of the same user id lands
-        // in the same shard, so per-user application order is preserved.
-        let mut buckets: Vec<Vec<Value>> = vec![Vec::new(); shard_count];
-        for user in users {
-            buckets[owner_shard(user, shard_count)].push(user.clone());
-        }
-
-        let opts = ApplyOptions {
-            use_transaction: false,
-            ..self.options
-        };
-        let spec = &spec;
-        let outcomes: Vec<ShardOutcome> = std::thread::scope(|s| {
-            let handles: Vec<_> = buckets
-                .iter()
-                .filter(|b| !b.is_empty())
-                .map(|bucket| s.spawn(move || self.apply_shard(spec, bucket, opts)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(outcome) => outcome,
-                    Err(_) => ShardOutcome {
-                        failures: vec![(Value::Null, "shard worker panicked".to_string())],
-                        ..ShardOutcome::default()
-                    },
-                })
-                .collect()
-        });
-
         let mut report = ApplyManyReport {
             name: name.to_string(),
             users: users.len(),
-            succeeded: 0,
-            failures: Vec::new(),
-            shards: shard_count,
-            rows_removed: 0,
-            rows_decorrelated: 0,
-            rows_modified: 0,
-            placeholders_created: 0,
-            vault_entries: 0,
-            degraded: 0,
-            duration: Duration::ZERO,
+            ..ApplyManyReport::default()
         };
-        for o in outcomes {
-            report.succeeded += o.succeeded;
-            report.failures.extend(o.failures);
-            report.rows_removed += o.rows_removed;
-            report.rows_decorrelated += o.rows_decorrelated;
-            report.rows_modified += o.rows_modified;
-            report.placeholders_created += o.placeholders_created;
-            report.vault_entries += o.vault_entries;
-            report.degraded += o.degraded;
+        for user in users {
+            match self.apply(name, Some(user)) {
+                Ok(r) => {
+                    report.succeeded += 1;
+                    report.rows_removed += r.rows_removed;
+                    report.rows_decorrelated += r.rows_decorrelated;
+                    report.rows_modified += r.rows_modified;
+                    report.placeholders_created += r.placeholders_created;
+                    report.vault_entries += usize::from(r.vault_written);
+                }
+                Err(e) => report.failures.push((user.clone(), e.to_string())),
+            }
         }
         report.duration = started.elapsed();
         Ok(report)
-    }
-
-    /// Users per batched vault flush inside one `apply_many` shard.
-    pub const VAULT_PUT_BATCH: usize = 32;
-
-    /// One shard of [`Disguiser::apply_many`]: applies the disguise to its
-    /// users chunk by chunk, flushing each chunk's vault entries in one
-    /// batched put and then closing their WAL intent brackets.
-    fn apply_shard(
-        &self,
-        spec: &DisguiseSpec,
-        users: &[Value],
-        opts: ApplyOptions,
-    ) -> ShardOutcome {
-        let mut out = ShardOutcome::default();
-        for chunk in users.chunks(Self::VAULT_PUT_BATCH) {
-            let mut pending: Vec<PendingVaultPut> = Vec::new();
-            let mut applied: Vec<(Value, DisguiseReport)> = Vec::new();
-            for user in chunk {
-                let mut params = HashMap::new();
-                params.insert("UID".to_string(), user.clone());
-                match self.apply_inner(spec, user, &params, opts, Some(&mut pending)) {
-                    Ok(report) => applied.push((user.clone(), report)),
-                    Err(e) => out.failures.push((user.clone(), e.to_string())),
-                }
-            }
-            for (_, r) in &applied {
-                out.rows_removed += r.rows_removed;
-                out.rows_decorrelated += r.rows_decorrelated;
-                out.rows_modified += r.rows_modified;
-                out.placeholders_created += r.placeholders_created;
-            }
-            let flush_failures = self.flush_pending_puts(pending, opts, &mut out);
-            // Close every intent bracket the chunk opened — including
-            // degraded ones, whose history rows now say "irreversible"
-            // (recovery treats a present history row as committed either
-            // way). Losing a marker here is benign: see apply_with_options.
-            for (_, r) in &applied {
-                if r.wal_intent {
-                    let _ = self.db.wal_disguise_commit(r.disguise_id);
-                }
-            }
-            for (user, reason) in flush_failures {
-                match applied.iter().position(|(u, _)| *u == user) {
-                    Some(i) => {
-                        applied.remove(i);
-                        out.failures.push((user, reason));
-                    }
-                    None => out.failures.push((user, reason)),
-                }
-            }
-            out.succeeded += applied.len();
-        }
-        out
-    }
-
-    /// Flushes one chunk's deferred vault puts: the fast path is a single
-    /// batched `put_all` per tier. If a batch fails, falls back to
-    /// idempotent per-entry puts (a prefix of the batch may already be
-    /// stored) and applies the vault failure policy to each entry that
-    /// still cannot be stored. Returns the users to be marked failed.
-    fn flush_pending_puts(
-        &self,
-        pending: Vec<PendingVaultPut>,
-        opts: ApplyOptions,
-        out: &mut ShardOutcome,
-    ) -> Vec<(Value, String)> {
-        if pending.is_empty() {
-            return Vec::new();
-        }
-        let mut failures = Vec::new();
-        for tier in [VaultTier::Global, VaultTier::PerUser] {
-            let batch: Vec<&PendingVaultPut> = pending.iter().filter(|p| p.tier == tier).collect();
-            if batch.is_empty() {
-                continue;
-            }
-            let entries: Vec<VaultEntry> = batch.iter().map(|p| p.entry.clone()).collect();
-            if self.vaults.put_all(tier, &entries).is_ok() {
-                out.vault_entries += entries.len();
-                continue;
-            }
-            // Batch failed partway: settle each entry individually.
-            for p in &batch {
-                let already = self
-                    .vaults
-                    .entries_for_disguise(&p.entry.user_id, p.disguise_id)
-                    .map(|es| es.contains(&p.entry))
-                    .unwrap_or(false);
-                if already {
-                    out.vault_entries += 1;
-                    continue;
-                }
-                let vault_err = match self.vaults.put(tier, &p.entry) {
-                    Ok(()) => {
-                        out.vault_entries += 1;
-                        continue;
-                    }
-                    Err(e) => e,
-                };
-                // The database changes are committed; nothing to roll
-                // back. Degrade (or spool) instead, so the history row
-                // never offers a reveal it cannot honor.
-                match opts.vault_failure_policy {
-                    VaultFailurePolicy::Require | VaultFailurePolicy::Degrade => {
-                        let reason = format!("vault write failed: {vault_err}");
-                        let _ = self.history.mark_degraded(p.disguise_id, &reason);
-                        out.degraded += 1;
-                        if opts.vault_failure_policy == VaultFailurePolicy::Require {
-                            failures.push((p.entry.user_id.clone(), reason));
-                        }
-                    }
-                    VaultFailurePolicy::Buffer => match lock_unpoisoned(&self.journal).as_ref() {
-                        Some(journal) => {
-                            if let Err(e) = journal.append(tier, &p.entry) {
-                                failures.push((p.entry.user_id.clone(), e.to_string()));
-                            } else {
-                                out.vault_entries += 1;
-                            }
-                        }
-                        None => {
-                            failures.push((p.entry.user_id.clone(), Error::NoJournal.to_string()))
-                        }
-                    },
-                }
-            }
-        }
-        failures
     }
 
     fn apply_inner(
@@ -891,7 +578,6 @@ impl Disguiser {
         user_value: &Value,
         params: &HashMap<String, Value>,
         opts: ApplyOptions,
-        mut vault_sink: Option<&mut Vec<PendingVaultPut>>,
     ) -> Result<DisguiseReport> {
         let mut report = DisguiseReport {
             name: spec.name.clone(),
@@ -993,10 +679,7 @@ impl Disguiser {
             // row and undoes the orphaned vault entry (see
             // [`Disguiser::resolve_recovered_intents`]). No-op without a
             // WAL attached.
-            if self.db.wal().is_some() {
-                self.db.wal_disguise_intent(id, user_value)?;
-                report.wal_intent = true;
-            }
+            self.db.wal_disguise_intent(id, user_value)?;
             let entry = VaultEntry {
                 disguise_id: id,
                 disguise_name: spec.name.clone(),
@@ -1005,40 +688,10 @@ impl Disguiser {
                 created_at: now,
                 expires_at: spec.expires_after.map(|d| now + d),
             };
-            // Deferred mode (`apply_many`): the caller batches vault puts
-            // across users, so just hand the entry over. The intent marker
-            // above is already durable, bracketing the deferred put.
-            if let Some(sink) = vault_sink.as_mut() {
-                sink.push(PendingVaultPut {
-                    tier: spec.vault_tier,
-                    entry,
-                    disguise_id: id,
-                });
-                return Ok(report);
-            }
-            if let Err(vault_err) = self.vaults.put(spec.vault_tier, &entry) {
-                match opts.vault_failure_policy {
-                    // Abort: the caller rolls the transaction back; the
-                    // history row above vanishes with it.
-                    VaultFailurePolicy::Require => return Err(Error::Vault(vault_err)),
-                    // Proceed irreversibly: the reveal functions are lost,
-                    // so the history row must never offer a reveal.
-                    VaultFailurePolicy::Degrade => {
-                        let reason = format!("vault write failed: {vault_err}");
-                        self.history.mark_degraded(id, &reason)?;
-                        report.vault_degraded = Some(reason);
-                    }
-                    // Proceed reversibly: spool the entry durably; if even
-                    // the journal fails, abort as under Require.
-                    VaultFailurePolicy::Buffer => {
-                        match lock_unpoisoned(&self.journal).as_ref() {
-                            Some(journal) => journal.append(spec.vault_tier, &entry)?,
-                            None => return Err(Error::NoJournal),
-                        }
-                        report.vault_buffered = true;
-                    }
-                }
-            }
+            // A failed put aborts: the caller rolls the transaction back
+            // and the history row above vanishes with it.
+            self.vaults.put(spec.vault_tier, &entry)?;
+            report.vault_written = true;
         }
         Ok(report)
     }
@@ -1428,7 +1081,7 @@ pub struct IntentResolution {
     /// Disguise ids whose transaction had committed: vault state kept.
     pub completed: Vec<u64>,
     /// Disguise ids whose transaction never committed: orphaned vault
-    /// entries and journal spools removed.
+    /// entries removed.
     pub undone: Vec<u64>,
 }
 
@@ -1445,16 +1098,6 @@ struct AffectedTransforms<'s> {
 }
 
 /// `pk_column = pk` as an expression.
-/// Owner-hash partitioning for [`Disguiser::apply_many`]: hashes the
-/// user id's SQL-literal rendering (the same key vaults and history use)
-/// so every representation of an id lands in the same shard.
-fn owner_shard(user: &Value, shards: usize) -> usize {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    user.to_sql_literal().hash(&mut h);
-    (h.finish() % shards as u64) as usize
-}
-
 pub(crate) fn pk_pred(pk_column: &str, pk: &Value) -> Expr {
     Expr::eq(Expr::col(pk_column), Expr::lit(pk.clone()))
 }

@@ -43,9 +43,6 @@ pub enum Error {
         apply: Box<Error>,
         rollback: edna_relational::Error,
     },
-    /// A vault write failed under the *buffer* policy but no journal is
-    /// configured to spool it.
-    NoJournal,
     /// An error bubbled up from the relational engine.
     Relational(edna_relational::Error),
     /// An error bubbled up from vault storage.
@@ -108,11 +105,6 @@ impl fmt::Display for Error {
                 f,
                 "disguise application failed ({apply}) and its rollback also \
                  failed ({rollback}); the database may hold a partial application"
-            ),
-            Error::NoJournal => write!(
-                f,
-                "vault write failed under the buffer policy but no journal is \
-                 configured; call Disguiser::set_vault_journal first"
             ),
             Error::Relational(e) => write!(f, "relational error: {e}"),
             Error::Vault(e) => write!(f, "vault error: {e}"),

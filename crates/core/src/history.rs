@@ -28,8 +28,9 @@ pub struct DisguiseEvent {
     pub reversible: bool,
     /// Whether the application has been reverted.
     pub reverted: bool,
-    /// Why the application degraded to irreversible, if it did (the
-    /// *degrade* vault failure policy records the vault error here).
+    /// Free-form note. Nothing writes it any more; older versions recorded
+    /// why a vault write degraded the application to irreversible here,
+    /// and the column stays so their history tables still load.
     pub note: Option<String>,
 }
 
@@ -95,21 +96,6 @@ impl HistoryLog {
     pub fn mark_reverted(&self, id: u64) -> Result<()> {
         let n = self.db.execute(&format!(
             "UPDATE {HISTORY_TABLE} SET reverted = TRUE WHERE id = {id}"
-        ))?;
-        if n.affected == 0 {
-            return Err(Error::NoSuchApplication(id));
-        }
-        Ok(())
-    }
-
-    /// Marks application `id` irreversible, recording `reason` — the
-    /// *degrade* vault failure policy: the disguise proceeded, but its
-    /// reveal functions could not be persisted, so it must never be
-    /// offered for reveal.
-    pub fn mark_degraded(&self, id: u64, reason: &str) -> Result<()> {
-        let quoted = reason.replace('\'', "''");
-        let n = self.db.execute(&format!(
-            "UPDATE {HISTORY_TABLE} SET reversible = FALSE, note = '{quoted}' WHERE id = {id}"
         ))?;
         if n.affected == 0 {
             return Err(Error::NoSuchApplication(id));
@@ -264,23 +250,6 @@ mod tests {
         assert!(log.active_before(99).unwrap().is_empty());
         assert!(matches!(
             log.mark_reverted(42),
-            Err(Error::NoSuchApplication(42))
-        ));
-    }
-
-    #[test]
-    fn degrade_marking() {
-        let log = log();
-        let a = log.record("A", &Value::Int(1), 1, true).unwrap();
-        assert_eq!(log.get(a).unwrap().note, None);
-        log.mark_degraded(a, "vault error: it's down").unwrap();
-        let e = log.get(a).unwrap();
-        assert!(!e.reversible, "degraded applications are irreversible");
-        assert_eq!(e.note.as_deref(), Some("vault error: it's down"));
-        // Degraded events are no longer composition candidates.
-        assert!(log.active_before(99).unwrap().is_empty());
-        assert!(matches!(
-            log.mark_degraded(42, "x"),
             Err(Error::NoSuchApplication(42))
         ));
     }

@@ -16,8 +16,9 @@
 //!   locks from crashed processes are reclaimed, see
 //!   [`edna_util::lockfile`]);
 //! - `STATE.metrics` — Prometheus-text metrics sidecar;
-//! - `STATE.vault/global/`, `STATE.vault/user/` — file-backed vault tiers;
-//! - `STATE.vault/pending.journal` — spooled vault writes awaiting flush;
+//! - `STATE.vault/global/`, `STATE.vault/user/` — file-backed vault tiers
+//!   (each put is fsynced inside the disguise's transaction, before the
+//!   commit that makes it reachable);
 //! - registered disguise DSL texts live *in* the database, in the reserved
 //!   `_edna_spec_registry` table, so every command sees the same specs.
 //!
@@ -40,7 +41,7 @@ use std::time::Instant;
 
 use edna_relational::{snapshot, Database, RecoveryReport, Value};
 use edna_util::lockfile::LockFile;
-use edna_vault::{FileStore, ShipFn, ShipSlot, TieredVault, Vault, VaultJournal};
+use edna_vault::{FileStore, ShipFn, ShipSlot, TieredVault, Vault};
 
 use crate::apply::{Disguiser, IntentResolution};
 use crate::error::{Error, Result};
@@ -195,7 +196,7 @@ impl Workspace {
         // The stores move behind trait objects next; keep their
         // replication tap slots so `set_vault_ship_hook` can still reach
         // the live stores later.
-        let mut ship_slots = vec![
+        let ship_slots = vec![
             ("global", global_store.ship_slot()),
             ("user", user_store.ship_slot()),
         ];
@@ -205,9 +206,6 @@ impl Workspace {
             None => Vault::plain(user_store),
         };
         let edna = Disguiser::with_vaults(db.clone(), TieredVault::new(global, per_user));
-        let journal = VaultJournal::open(sidecar(&path, ".vault").join("pending.journal"))?;
-        ship_slots.push(("journal", journal.ship_slot()));
-        edna.set_vault_journal(journal);
         // Re-register persisted specs.
         let specs = db.execute(&format!(
             "SELECT dsl FROM {SPEC_REGISTRY_TABLE} ORDER BY id"
@@ -269,11 +267,10 @@ impl Workspace {
 
     /// Installs (or with `None` removes) a replication tap over the
     /// vault-side files. The hook sees every durable mutation of the
-    /// vault tiers and the pending-write journal as raw bytes (sealed
-    /// payloads ship sealed), with the file name prefixed by where it
-    /// lives relative to `<state>.vault/`: `global/<file>`,
-    /// `user/<file>`, or `journal/pending.journal`. Hooks run inside the
-    /// emitting store's lock — enqueue only, never block.
+    /// vault tiers as raw bytes (sealed payloads ship sealed), with the
+    /// file name prefixed by the tier directory it lives in under
+    /// `<state>.vault/`: `global/<file>` or `user/<file>`. Hooks run
+    /// inside the emitting store's lock — enqueue only, never block.
     pub fn set_vault_ship_hook(&self, hook: Option<Arc<ShipFn>>) {
         for (prefix, slot) in &self.ship_slots {
             match &hook {

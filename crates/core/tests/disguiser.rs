@@ -4,7 +4,7 @@
 use edna_core::spec::{DisguiseSpecBuilder, Generator, Modifier};
 use edna_core::{ApplyOptions, Disguiser, Error};
 use edna_relational::{Database, Value};
-use edna_vault::VaultTier;
+use edna_vault::{FaultPlan, FaultyStore, MemoryStore, TieredVault, Vault, VaultTier};
 
 /// A small forum-like schema: users, stories, comments (comments cascade
 /// with their story).
@@ -785,21 +785,30 @@ fn forum_db_with_users(n: usize) -> Database {
     db
 }
 
+/// How many stories and comments reference `uid`.
+fn contributions(db: &Database, uid: i64) -> (usize, usize) {
+    let count = |table: &str| {
+        db.execute(&format!("SELECT id FROM {table} WHERE user_id = {uid}"))
+            .unwrap()
+            .rows
+            .len()
+    };
+    (count("stories"), count("comments"))
+}
+
 #[test]
-fn apply_many_disguises_every_user_in_parallel_shards() {
+fn apply_many_disguises_every_user() {
     let n = 40;
     let db = forum_db_with_users(n);
     let edna = disguiser(&db);
     let users: Vec<Value> = (1..=n as i64).map(Value::Int).collect();
 
-    let report = edna.apply_many("Scrub", &users, 4).unwrap();
+    let report = edna.apply_many("Scrub", &users).unwrap();
     assert_eq!(report.users, n);
     assert_eq!(report.succeeded, n, "failures: {:?}", report.failures);
     assert!(report.failures.is_empty());
-    assert_eq!(report.shards, 4);
     assert_eq!(report.rows_removed, n, "one account row per user");
     assert_eq!(report.vault_entries, n, "one reveal entry per user");
-    assert_eq!(report.degraded, 0);
 
     // Every account is gone; every contribution is decorrelated.
     for uid in 1..=n as i64 {
@@ -808,11 +817,7 @@ fn apply_many_disguises_every_user_in_parallel_shards() {
             .unwrap()
             .rows
             .is_empty());
-        assert!(db
-            .execute(&format!("SELECT id FROM stories WHERE user_id = {uid}"))
-            .unwrap()
-            .rows
-            .is_empty());
+        assert_eq!(contributions(&db, uid), (0, 0), "user {uid}");
     }
     // History recorded one application per user, and reveal still works.
     let event = edna
@@ -837,32 +842,21 @@ fn apply_many_matches_sequential_apply() {
     let n = 12;
     let seq_db = forum_db_with_users(n);
     let seq = disguiser(&seq_db);
-    let par_db = forum_db_with_users(n);
-    let par = disguiser(&par_db);
+    let many_db = forum_db_with_users(n);
+    let many = disguiser(&many_db);
     let users: Vec<Value> = (1..=n as i64).map(Value::Int).collect();
 
     let mut seq_removed = 0;
     let mut seq_decorrelated = 0;
-    let opts = ApplyOptions {
-        use_transaction: false,
-        ..ApplyOptions::default()
-    };
     for u in &users {
-        let r = seq.apply_with_options("Scrub", Some(u), opts).unwrap();
+        let r = seq.apply("Scrub", Some(u)).unwrap();
         seq_removed += r.rows_removed;
         seq_decorrelated += r.rows_decorrelated;
     }
-    let many = par.apply_many("Scrub", &users, 3).unwrap();
-    assert_eq!(many.rows_removed, seq_removed);
-    assert_eq!(many.rows_decorrelated, seq_decorrelated);
-    assert_eq!(
-        seq_db.row_count("users").unwrap(),
-        par_db.row_count("users").unwrap()
-    );
-    assert_eq!(
-        seq_db.row_count("stories").unwrap(),
-        par_db.row_count("stories").unwrap()
-    );
+    let report = many.apply_many("Scrub", &users).unwrap();
+    assert_eq!(report.rows_removed, seq_removed);
+    assert_eq!(report.rows_decorrelated, seq_decorrelated);
+    assert_eq!(seq_db.dump(), many_db.dump(), "same seed, same end state");
 }
 
 #[test]
@@ -886,7 +880,8 @@ fn apply_many_reports_per_user_failures_and_continues() {
     )
     .unwrap();
     let users: Vec<Value> = (1..=6).map(Value::Int).collect();
-    let report = edna.apply_many("Purge", &users, 2).unwrap();
+    let before: Vec<(usize, usize)> = (1..=6).map(|u| contributions(&db, u)).collect();
+    let report = edna.apply_many("Purge", &users).unwrap();
     assert_eq!(report.succeeded, 1, "only the zero-karma user purges");
     assert_eq!(report.failures.len(), 5);
     assert!(report
@@ -894,6 +889,73 @@ fn apply_many_reports_per_user_failures_and_continues() {
         .iter()
         .all(|(_, msg)| msg.contains("account removed")));
     assert!(report.failures.iter().all(|(u, _)| *u != Value::Int(2)));
+    // A failed user's application rolled back whole: their stories and
+    // comments still reference them, and history holds only user 2.
+    for (uid, before) in (1..=6).zip(before) {
+        let expected = if uid == 2 { (0, 0) } else { before };
+        assert_eq!(contributions(&db, uid), expected, "user {uid}");
+    }
+    assert_eq!(edna.history().events().unwrap().len(), 1);
+}
+
+#[test]
+fn apply_many_rolls_back_a_user_whose_vault_put_fails() {
+    let n = 6;
+    let db = forum_db_with_users(n);
+    // Scrub writes the per-user tier; its third put (user 3's) fails.
+    let vaults = TieredVault::new(
+        Vault::plain(MemoryStore::new()),
+        Vault::plain(FaultyStore::new(
+            MemoryStore::new(),
+            FaultPlan::new(5).fail_nth(2),
+        )),
+    );
+    let edna = Disguiser::with_vaults(db.clone(), vaults);
+    edna.register(scrub_spec()).unwrap();
+    let users: Vec<Value> = (1..=n as i64).map(Value::Int).collect();
+    let before = contributions(&db, 3);
+
+    let report = edna.apply_many("Scrub", &users).unwrap();
+    assert_eq!(report.succeeded, n - 1);
+    assert_eq!(report.vault_entries, n - 1);
+    assert_eq!(report.failures.len(), 1);
+    assert_eq!(report.failures[0].0, Value::Int(3));
+    assert!(
+        report.failures[0].1.contains("vault"),
+        "{:?}",
+        report.failures
+    );
+
+    // User 3 is untouched: account, contributions, no history, no entry.
+    assert_eq!(
+        db.execute("SELECT username FROM users WHERE id = 3")
+            .unwrap()
+            .rows,
+        vec![vec![Value::Text("u3".into())]]
+    );
+    assert_eq!(contributions(&db, 3), before);
+    assert!(edna
+        .history()
+        .latest("Scrub", &Value::Int(3))
+        .unwrap()
+        .is_none());
+    assert!(edna
+        .vaults()
+        .entries_for(&Value::Int(3))
+        .unwrap()
+        .is_empty());
+
+    // Everyone else is disguised and revealable.
+    for uid in [1, 2, 4, 5, 6] {
+        let event = edna
+            .history()
+            .latest("Scrub", &Value::Int(uid))
+            .unwrap()
+            .unwrap_or_else(|| panic!("user {uid} was disguised"));
+        assert_eq!(contributions(&db, uid), (0, 0), "user {uid}");
+        edna.reveal(event.id).unwrap();
+    }
+    assert_eq!(db.row_count("users").unwrap(), n);
 }
 
 #[test]
@@ -907,16 +969,6 @@ fn apply_many_rejects_global_disguises() {
             .unwrap(),
     )
     .unwrap();
-    let err = edna.apply_many("Decay", &[Value::Int(1)], 2).unwrap_err();
+    let err = edna.apply_many("Decay", &[Value::Int(1)]).unwrap_err();
     assert!(matches!(err, Error::SpecInvalid { .. }), "got {err:?}");
-}
-
-#[test]
-fn apply_many_clamps_shards_to_user_count() {
-    let db = forum_db_with_users(3);
-    let edna = disguiser(&db);
-    let users = vec![Value::Int(3)];
-    let report = edna.apply_many("Scrub", &users, 64).unwrap();
-    assert_eq!(report.shards, 1);
-    assert_eq!(report.succeeded, 1);
 }

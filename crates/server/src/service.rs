@@ -540,10 +540,9 @@ impl Service {
     }
 
     /// Mass disguise: `apply_many <name>` with one user id per body line
-    /// (blank lines and `#` comments skipped) and an optional `shards`
-    /// header. The work is owner-hash-sharded across threads inside the
-    /// engine; commits from all shards share fsyncs through the
-    /// group-commit WAL. Unlike `apply`, no reveal capabilities are
+    /// (blank lines and `#` comments skipped). Each user is one
+    /// transactional apply; a `shards` header from older clients is
+    /// ignored. Unlike `apply`, no reveal capabilities are
     /// minted — a departing cohort's reveals are an operator action
     /// (the CLI bypasses capabilities), not a wire-tenant one.
     fn op_apply_many(&self, req: &Request) -> Response {
@@ -563,13 +562,6 @@ impl Service {
         if users.is_empty() {
             return Response::err(code::USAGE, "apply_many needs one user id per body line");
         }
-        let shards: usize = match req.header_value("shards") {
-            Some(s) => match s.trim().parse() {
-                Ok(n) => n,
-                Err(_) => return Response::err(code::USAGE, format!("bad shard count {s:?}")),
-            },
-            None => 0, // 0 = one shard per available core
-        };
         let idem = match idem_key(req) {
             Ok(k) => k,
             Err(resp) => return resp,
@@ -585,13 +577,12 @@ impl Service {
                 Err(e) => return Response::err(code::RUNTIME, e),
             }
         }
-        let resp = match self.ws.edna.apply_many(name, &users, shards) {
+        let resp = match self.ws.edna.apply_many(name, &users) {
             Ok(report) => {
                 let mut body = format!(
-                    "applied {} to {} user(s) in {} shard(s): {} succeeded, {} failed\n",
+                    "applied {} to {} user(s): {} succeeded, {} failed\n",
                     report.name,
                     report.users,
-                    report.shards,
                     report.succeeded,
                     report.failures.len(),
                 );
@@ -602,7 +593,6 @@ impl Service {
                     .header("users", report.users.to_string())
                     .header("succeeded", report.succeeded.to_string())
                     .header("failed", report.failures.len().to_string())
-                    .header("shards", report.shards.to_string())
             }
             Err(e) => Response::err(code::RUNTIME, e.to_string()),
         };

@@ -1,7 +1,6 @@
 //! Checksummed, crash-recoverable record framing.
 //!
-//! The file-backed vault, the pending-write journal, and the relational
-//! write-ahead log all persist append-only sequences of records. Each
+//! The file-backed vault and the relational write-ahead log both persist append-only sequences of records. Each
 //! record is framed as
 //!
 //! ```text

@@ -6,7 +6,7 @@
 //! (persist only a prefix of the record, as a crash mid-`write` would).
 //! [`FaultyStore`] wraps any [`VaultStore`] and consults the plan before
 //! delegating, so the whole storage stack above it — retry policies,
-//! degradation handling, crash recovery — can be exercised without real
+//! abort handling, crash recovery — can be exercised without real
 //! disks or networks misbehaving on cue.
 
 use std::sync::atomic::{AtomicU64, Ordering};

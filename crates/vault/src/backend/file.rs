@@ -7,8 +7,10 @@
 //! safe.
 //!
 //! Crash consistency: appends are framed with per-record SHA-256
-//! checksums, rewrites (remove/purge) go through temp-file + atomic
-//! rename, and reads recover from a torn tail — the partial record a
+//! checksums and fsynced before `put` returns, rewrites (remove/purge) go
+//! through temp-file + fsync + atomic rename, every change to the
+//! directory's entries (new file, rename, removal) is followed by a
+//! directory fsync, and reads recover from a torn tail — the partial record a
 //! crash mid-append leaves behind — by truncating the file back to the
 //! last complete record instead of failing to load. [`FileStore::open`]
 //! also sweeps leftover `.tmp` files from interrupted rewrites.
@@ -149,13 +151,23 @@ impl FileStore {
             .collect()
     }
 
+    /// Fsyncs the store's directory, making a created, renamed or removed
+    /// file name durable.
+    fn sync_dir(&self) -> std::io::Result<()> {
+        fs::File::open(&self.root)?.sync_all()
+    }
+
     /// Caller must hold `self.lock`.
     fn write_all(&self, path: &Path, entries: &[StoredEntry]) -> Result<()> {
         if entries.is_empty() {
-            self.with_retry("file_remove", || match fs::remove_file(path) {
-                Ok(()) => Ok(()),
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-                Err(e) => Err(e.into()),
+            self.with_retry("file_remove", || {
+                match fs::remove_file(path) {
+                    Ok(()) => {}
+                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+                    Err(e) => return Err(e.into()),
+                }
+                self.sync_dir()?;
+                Ok(())
             })?;
             self.ship
                 .emit(ShipKind::Replace, &Self::file_name(path), &[]);
@@ -165,11 +177,15 @@ impl FileStore {
         for e in entries {
             wal::append_record(&mut buf, &Self::record_body(e));
         }
-        // Write-then-rename for crash atomicity.
+        // Write, fsync, then rename for crash atomicity.
         let tmp = path.with_extension("tmp");
         self.with_retry("file_rewrite", || {
-            fs::write(&tmp, &buf)?;
+            use std::io::Write;
+            let mut f = fs::File::create(&tmp)?;
+            f.write_all(buf.as_ref())?;
+            f.sync_all()?;
             fs::rename(&tmp, path)?;
+            self.sync_dir()?;
             Ok(())
         })?;
         self.ship
@@ -207,15 +223,24 @@ impl FileStore {
 
     fn append_bytes(&self, user: &str, bytes: &[u8]) -> Result<()> {
         let path = self.user_path(user);
-        self.with_retry("file_append", || {
+        let (f, created) = self.with_retry("file_append", || {
             use std::io::Write;
             let mut f = fs::OpenOptions::new()
                 .create(true)
                 .append(true)
                 .open(&path)?;
+            // Files are removed when their last entry goes, so an empty
+            // file is one this call may just have created.
+            let created = f.metadata()?.len() == 0;
             f.write_all(bytes)?;
-            Ok(())
+            Ok((f, created))
         })?;
+        // Outside the retry: re-running the closure after a failed sync
+        // would append the record twice.
+        f.sync_data()?;
+        if created {
+            self.sync_dir()?;
+        }
         self.ship
             .emit(ShipKind::Append, &Self::file_name(&path), bytes);
         Ok(())
@@ -226,29 +251,6 @@ impl VaultStore for FileStore {
     fn put(&self, user: &str, entry: StoredEntry) -> Result<()> {
         let _g = self.lock.lock().unwrap();
         self.append_bytes(user, &wal::encode_record(&Self::record_body(&entry)))
-    }
-
-    fn put_many(&self, items: Vec<(String, StoredEntry)>) -> Result<()> {
-        // One lock acquisition and one file open per distinct user for the
-        // whole batch: entries are grouped by user (stably, so per-user
-        // order is preserved) and appended as a single concatenated write.
-        let _g = self.lock.lock().unwrap();
-        let mut grouped: Vec<(String, BytesMut)> = Vec::new();
-        for (user, entry) in items {
-            let record = wal::encode_record(&Self::record_body(&entry));
-            match grouped.iter_mut().find(|(u, _)| *u == user) {
-                Some((_, buf)) => buf.put_slice(&record),
-                None => {
-                    let mut buf = BytesMut::new();
-                    buf.put_slice(&record);
-                    grouped.push((user, buf));
-                }
-            }
-        }
-        for (user, buf) in grouped {
-            self.append_bytes(&user, buf.as_ref())?;
-        }
-        Ok(())
     }
 
     fn list(&self, user: &str) -> Result<Vec<StoredEntry>> {
@@ -382,26 +384,6 @@ mod tests {
             2,
             "both user files should be discovered"
         );
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn put_many_groups_appends_per_user() {
-        let dir = tempdir("put_many");
-        let s = FileStore::open(&dir).unwrap();
-        s.put("a", entry(1, None)).unwrap();
-        s.put_many(vec![
-            ("a".to_string(), entry(2, None)),
-            ("b".to_string(), entry(3, None)),
-            ("a".to_string(), entry(4, None)),
-        ])
-        .unwrap();
-        // Per-user order is preserved and everything round-trips.
-        assert_eq!(
-            s.list("a").unwrap(),
-            vec![entry(1, None), entry(2, None), entry(4, None)]
-        );
-        assert_eq!(s.list("b").unwrap(), vec![entry(3, None)]);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -59,18 +59,6 @@ pub trait VaultStore: Send + Sync {
     /// Appends an entry to `user`'s vault.
     fn put(&self, user: &str, entry: StoredEntry) -> Result<()>;
 
-    /// Appends a batch of entries, each to its user's vault. Stores that
-    /// can amortize per-call overhead (locks, file opens) override this;
-    /// the default just loops [`VaultStore::put`]. Not atomic: on error a
-    /// prefix of the batch may already be stored, so callers that retry
-    /// must dedup (see `edna-core`'s idempotent journal flush).
-    fn put_many(&self, items: Vec<(String, StoredEntry)>) -> Result<()> {
-        for (user, entry) in items {
-            self.put(&user, entry)?;
-        }
-        Ok(())
-    }
-
     /// All entries in `user`'s vault, oldest first.
     fn list(&self, user: &str) -> Result<Vec<StoredEntry>>;
 

@@ -41,12 +41,6 @@ impl TieredVault {
         self.tier(tier).put(entry)
     }
 
-    /// Stores a batch of entries in the given tier with one backend round
-    /// trip (see [`Vault::put_all`]). Not atomic on error.
-    pub fn put_all(&self, tier: VaultTier, entries: &[VaultEntry]) -> Result<()> {
-        self.tier(tier).put_all(entries)
-    }
-
     /// Entries for `user_id` across both tiers, oldest first.
     pub fn entries_for(&self, user_id: &Value) -> Result<Vec<VaultEntry>> {
         let mut out = self.global.entries_for(user_id)?;

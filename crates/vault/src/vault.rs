@@ -134,35 +134,6 @@ impl Vault {
         result
     }
 
-    /// Stores a batch of entries in one backend round trip
-    /// ([`VaultStore::put_many`]): payloads are sealed up front, then the
-    /// store amortizes its per-call overhead across the whole batch. Not
-    /// atomic — on error a prefix may already be stored (callers that
-    /// retry should dedup, as `edna-core`'s journal flush does).
-    pub fn put_all(&self, entries: &[VaultEntry]) -> Result<()> {
-        if entries.is_empty() {
-            return Ok(());
-        }
-        let mut span = read_unpoisoned(&self.tracer).as_ref().map(|t| {
-            let mut g = t.begin("vault_put_batch");
-            g.attr("entries", entries.len().to_string());
-            g.attr("encrypted", self.is_encrypted().to_string());
-            g
-        });
-        let mut items = Vec::with_capacity(entries.len());
-        for entry in entries {
-            let user = Self::user_key(&entry.user_id);
-            let (meta, payload) = entry.encode();
-            let payload = self.seal_payload(&user, payload)?;
-            items.push((user, StoredEntry { meta, payload }));
-        }
-        let result = self.store.put_many(items);
-        if let Some(g) = span.as_mut() {
-            g.attr("ok", result.is_ok().to_string());
-        }
-        result
-    }
-
     /// Seals `payload` for `user` per the vault's protection mode.
     fn seal_payload(&self, user: &str, payload: Vec<u8>) -> Result<Vec<u8>> {
         match &self.protection {
@@ -346,22 +317,6 @@ mod tests {
         let (_, plain_payload) = e.encode();
         assert_ne!(raw[0].payload, plain_payload);
         assert!(raw[0].payload.len() > plain_payload.len());
-    }
-
-    #[test]
-    fn put_all_round_trips_under_encryption() {
-        let v = Vault::encrypted(MemoryStore::new(), 7);
-        let batch = vec![entry(19, 1), entry(23, 2), entry(19, 3)];
-        v.put_all(&batch).unwrap();
-        assert_eq!(
-            v.entries_for(&Value::Int(19)).unwrap(),
-            vec![entry(19, 1), entry(19, 3)]
-        );
-        assert_eq!(v.entries_for(&Value::Int(23)).unwrap(), vec![entry(23, 2)]);
-        // The batch path seals like the single path: payloads are opaque.
-        let raw = v.store.list("23").unwrap();
-        let (_, plain) = entry(23, 2).encode();
-        assert_ne!(raw[0].payload, plain);
     }
 
     #[test]
